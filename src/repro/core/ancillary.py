@@ -15,19 +15,26 @@ probe:
 * digest match and ``count >= min_count`` → *promote*: the flow has
   grown at least as large as the smallest colliding main-table record,
   so it should displace that sentinel.
+
+The cells are two flat planes, ``digests`` (``uint64``) and ``counts``
+(``int64``), shared with the C kernel and with shared-memory ingest
+(see :mod:`repro.core.maintable`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.digest import DEFAULT_DIGEST_BITS, DigestFunction
+from repro.hashing.digest import DigestFunction
 from repro.hashing.families import HashFunction
-from repro.hashing.mixers import mix128
+from repro.hashing.mixers import mix128, mix128_batch
 from repro.sketches.base import CostMeter
 from repro.sketches.linear_counting import linear_counting_estimate
 
 DEFAULT_COUNTER_BITS = 8
+
+#: Widest counter the ``int64`` count plane holds without overflow.
+MAX_COUNTER_BITS = 62
 
 #: Outcome: the packet was recorded in the ancillary table.
 STORED = 0
@@ -42,9 +49,13 @@ class AncillaryTable:
         n_cells: number of buckets.
         index_hash: the hash ``g1`` mapping flow IDs to buckets.
         digest: digest function (``h1 mod 2**w`` in the paper).
-        counter_bits: counter width; counters saturate at
+        counter_bits: counter width, at most 62; counters saturate at
             ``2**counter_bits - 1`` (8 bits in the paper's setup).
         meter: shared cost meter.
+
+    Both hashes must be plain :class:`HashFunction` /
+    :class:`DigestFunction` instances: every path (scalar, numpy batch,
+    C kernel) addresses cells with their prebound seeds.
     """
 
     def __init__(
@@ -57,29 +68,33 @@ class AncillaryTable:
     ):
         if n_cells <= 0:
             raise ValueError(f"n_cells must be positive, got {n_cells}")
-        if counter_bits <= 0:
-            raise ValueError(f"counter_bits must be positive, got {counter_bits}")
-        self.n_cells = n_cells
-        self.counter_bits = counter_bits
-        self.max_count = (1 << counter_bits) - 1
-        self.index_hash = index_hash
-        self.digest = digest
-        self.meter = meter if meter is not None else CostMeter()
-        # The hot path inlines `mix128(key, seed)` with prebound seeds,
-        # which is only valid for plain (non-subclassed) HashFunction /
-        # DigestFunction instances; anything else — e.g. a TabulationHash
-        # drop-in — dispatches through the injected objects instead.
-        self._fast_hashes = (
+        if not 0 < counter_bits <= MAX_COUNTER_BITS:
+            raise ValueError(
+                "the count plane is int64; counter_bits must be in "
+                f"[1, {MAX_COUNTER_BITS}], got {counter_bits}"
+            )
+        if not (
             type(index_hash) is HashFunction
             and type(digest) is DigestFunction
             and type(digest.base) is HashFunction
-        )
-        if self._fast_hashes:
-            self._index_seed = index_hash.seed
-            self._digest_seed = digest.base.seed
-            self._digest_mask = (1 << digest.bits) - 1
-        self._digests = [0] * n_cells
-        self._counts = [0] * n_cells
+        ):
+            raise ValueError(
+                "the ancillary table requires plain HashFunction/"
+                "DigestFunction hashes (cells are addressed by prebound seeds)"
+            )
+        self.n_cells = n_cells
+        self.counter_bits = counter_bits
+        self.max_count = (1 << counter_bits) - 1
+        self.digest = digest
+        self.meter = meter if meter is not None else CostMeter()
+        self._index_seed = index_hash.seed
+        self._digest_seed = digest.base.seed
+        self._digest_mask = (1 << digest.bits) - 1
+        self.digests = np.zeros(n_cells, dtype=np.uint64)
+        self.counts = np.zeros(n_cells, dtype=np.int64)
+
+    def _cell(self, key: int) -> int:
+        return mix128(key, self._index_seed) % self.n_cells
 
     def offer(self, key: int, min_count: int) -> tuple[int, int]:
         """Record a packet that failed every main-table probe.
@@ -95,82 +110,62 @@ class AncillaryTable:
             (``new_count = count + 1``, counting this packet).
         """
         meter = self.meter
-        if self._fast_hashes:
-            idx = mix128(key, self._index_seed) % self.n_cells
-            dig = mix128(key, self._digest_seed) & self._digest_mask
-        else:
-            idx = self.index_hash.bucket(key, self.n_cells)
-            dig = self.digest(key)
+        idx = self._cell(key)
+        dig = mix128(key, self._digest_seed) & self._digest_mask
         meter.hashes += 2
         meter.reads += 1
-        count = self._counts[idx]
-        if count == 0 or self._digests[idx] != dig:
+        count = int(self.counts[idx])
+        if count == 0 or int(self.digests[idx]) != dig:
             # New or colliding flow: replace the summarized record.
-            self._digests[idx] = dig
-            self._counts[idx] = 1
+            self.digests[idx] = dig
+            self.counts[idx] = 1
             meter.writes += 1
             return STORED, 0
         if count < min_count:
             if count < self.max_count:
-                self._counts[idx] = count + 1
+                self.counts[idx] = count + 1
             meter.writes += 1
             return STORED, 0
         return PROMOTE, count + 1
 
-    def bucket_digest_rows(self, batch) -> tuple[list[int], list[int]]:
-        """Precompute bucket indices and digests for a whole key batch.
-
-        Returns:
-            ``(indices, digests)`` lists of Python ints, bit-identical
-            to what :meth:`offer` would compute per key.
-        """
-        if self._fast_hashes:
-            idx = self.index_hash.buckets_batch(batch, self.n_cells).tolist()
-            dig = self.digest.values_batch(batch).tolist()
-        else:
-            n = self.n_cells
-            idx = [self.index_hash.bucket(k, n) for k in batch.keys]
-            dig = [self.digest(k) for k in batch.keys]
-        return idx, dig
+    def bucket_digest_rows(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket indices and digests for a batch of key halves
+        (``np.uint64``), bit-identical to what :meth:`offer` computes
+        per key."""
+        return (
+            mix128_batch(lo, hi, self._index_seed) % np.uint64(self.n_cells),
+            mix128_batch(lo, hi, self._digest_seed) & np.uint64(self._digest_mask),
+        )
 
     def query(self, key: int) -> int:
         """Summarized count for ``key`` (0 unless its digest matches)."""
-        idx = self.index_hash.bucket(key, self.n_cells)
-        if self._counts[idx] > 0 and self._digests[idx] == self.digest(key):
-            return self._counts[idx]
+        idx = self._cell(key)
+        count = int(self.counts[idx])
+        dig = mix128(key, self._digest_seed) & self._digest_mask
+        if count > 0 and int(self.digests[idx]) == dig:
+            return count
         return 0
 
     def query_batch(self, batch) -> np.ndarray:
-        """Summarized counts for a whole key batch (``np.int64``).
-
-        Digest comparison is exact integer work, so the whole query
-        collapses into vectorized passes: batched bucket indices,
-        batched digests, one gather of the (counts, digests) cells and
-        one masked select.  Injected hashes without a batched form
-        (e.g. a TabulationHash drop-in) fall back to the scalar query.
-        """
-        n = len(batch)
-        if not self._fast_hashes:
-            query = self.query
-            return np.fromiter((query(k) for k in batch.keys), np.int64, count=n)
-        idx = self.index_hash.buckets_batch(batch, self.n_cells)
-        dig = self.digest.values_batch(batch)
-        counts = np.fromiter(self._counts, np.int64, count=self.n_cells)
-        digests = np.fromiter(self._digests, np.uint64, count=self.n_cells)
-        hit = counts[idx]
-        return np.where((hit > 0) & (digests[idx] == dig), hit, np.int64(0))
+        """Summarized counts for a whole key batch (``np.int64``): one
+        gather of the (counts, digests) cells and one masked select."""
+        idx, dig = self.bucket_digest_rows(*batch.halves())
+        hit = self.counts[idx]
+        return np.where((hit > 0) & (self.digests[idx] == dig), hit, np.int64(0))
 
     def clear_cell(self, key: int) -> None:
         """Erase the cell ``key`` maps to (used by the promotion-clearing
         HashFlow variant; the literal Algorithm 1 leaves it stale)."""
-        idx = self.index_hash.bucket(key, self.n_cells)
-        self._digests[idx] = 0
-        self._counts[idx] = 0
+        idx = self._cell(key)
+        self.digests[idx] = 0
+        self.counts[idx] = 0
         self.meter.writes += 1
 
     def occupancy(self) -> int:
         """Number of non-empty buckets."""
-        return sum(1 for c in self._counts if c > 0)
+        return int(np.count_nonzero(self.counts))
 
     def estimate_cardinality(self) -> float:
         """Linear-counting estimate of distinct flows that hit this table.
@@ -181,9 +176,9 @@ class AncillaryTable:
         return linear_counting_estimate(self.n_cells, self.n_cells - self.occupancy())
 
     def reset(self) -> None:
-        """Clear all buckets."""
-        self._digests = [0] * self.n_cells
-        self._counts = [0] * self.n_cells
+        """Clear all buckets (in place, so shared planes stay shared)."""
+        self.digests.fill(0)
+        self.counts.fill(0)
 
     @property
     def memory_bits(self) -> int:

@@ -1,16 +1,25 @@
-"""HashFlow main table: multi-hash and pipelined variants.
+"""HashFlow main table: ``d`` probe stages over flat register planes.
 
 The main table ``M`` stores accurate ``(flow_id, count)`` records.  Two
 organizations are implemented, as in the paper (Section III-A):
 
-* :class:`MultiHashTable` — one array of ``n`` buckets probed with ``d``
-  independent hash functions ``h_1 ... h_d``.
-* :class:`PipelinedTables` — ``d`` sub-tables whose sizes decay
-  geometrically (``n_{k+1} = α · n_k``), each with its own hash
-  function.  The paper shows this improves utilization by up to ~5.5%
-  at ``α = 0.7`` (Fig. 2d) and adopts it for the evaluation.
+* **multihash** — one array of ``n`` buckets probed with ``d``
+  independent hash functions ``h_1 ... h_d``;
+* **pipelined** — ``d`` sub-tables whose sizes decay geometrically
+  (``n_{k+1} = α · n_k``), each with its own hash function.  The paper
+  shows this improves utilization by up to ~5.5% at ``α = 0.7``
+  (Fig. 2d) and adopts it for the evaluation.
 
-Both expose the same *probe* contract used by Algorithm 1: a probe
+Both live in one structure-of-arrays layout, the register arrays of the
+paper's data-plane target: 104-bit keys split into ``uint64`` lo/hi
+planes, counters (and optional byte counters) as ``int64`` planes.  A
+probe stage ``s`` addresses the flat slice ``[offs[s], offs[s] +
+sizes[s])``; the multihash variant gives every stage offset 0 and the
+full table size.  The same planes are what the C kernel
+(``native/csrc/kernels.c``) mutates in place and what shared-memory
+ingest (:mod:`repro.shm.planes`) maps between processes.
+
+The table exposes the *probe* contract used by Algorithm 1: a probe
 either increments an existing record, fills an empty bucket, or fails —
 reporting the *sentinel* (the colliding bucket with the smallest count)
 for the record-promotion strategy.  Probes never evict, so a flow is
@@ -19,18 +28,17 @@ never split across buckets.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from itertools import repeat
 
 import numpy as np
 
 from repro.flow.batch import KeyBatch
 from repro.flow.key import FLOW_KEY_BITS
 from repro.hashing.families import HashFamily
-from repro.hashing.mixers import low_halves, mix128
+from repro.hashing.mixers import MASK64, mix128, mix128_batch
 from repro.sketches.base import CostMeter
 
 _COUNTER_BITS = 32
-_EMPTY = 0
 
 #: Probe outcome: the packet was absorbed (inserted or incremented).
 ABSORBED = 0
@@ -39,354 +47,6 @@ MISSED = 1
 
 DEFAULT_DEPTH = 3
 DEFAULT_ALPHA = 0.7
-
-
-def _query_batch_stages(batch: KeyBatch, stages) -> np.ndarray:
-    """Vectorized first-match point queries over probe stages.
-
-    The scalar :meth:`MainTable.query` checks the key's probe bucket in
-    each stage *in order* and returns the first resident match.  This
-    helper reproduces that exactly for a whole batch:
-
-    * every probe index is precomputed (``stages`` pairs an index row
-      with that stage's cell storage, like ``stage_views``);
-    * the stored keys' low 64-bit halves are compared against the
-      batch's precomputed ``lo`` halves in one vectorized pass, so only
-      real candidates (occupied bucket, matching low half) reach the
-      exact Python-int comparison;
-    * a resolved mask enforces first-match-wins across stages, keeping
-      the answer bit-identical even if control-plane evictions ever
-      leave a flow resident in more than one probe bucket.
-
-    Args:
-        batch: the query keys (halves are materialized on first use).
-        stages: iterable of ``(index_row, keys_list, counts_list,
-            keys_lo, counts_arr)`` per probe stage, where ``index_row``
-            is an integer ndarray of ``len(batch)`` bucket indices,
-            ``keys_lo`` is ``low_halves(keys_list)`` and ``counts_arr``
-            the counts as ``np.int64`` (both passed in so a shared flat
-            table is converted only once, not once per stage).
-
-    Returns:
-        ``np.int64`` array; entry ``i`` equals the scalar query of
-        ``batch.keys[i]``.
-    """
-    n = len(batch)
-    out = np.zeros(n, dtype=np.int64)
-    unresolved = np.ones(n, dtype=bool)
-    lo = batch.lo
-    keys = batch.keys
-    for row, s_keys, s_counts, s_lo, counts_arr in stages:
-        if not unresolved.any():
-            break
-        candidates = unresolved & (counts_arr[row] > 0) & (s_lo[row] == lo)
-        for i in np.nonzero(candidates)[0].tolist():
-            idx = int(row[i])
-            if s_keys[idx] == keys[i]:
-                out[i] = s_counts[idx]
-                unresolved[i] = False
-    return out
-
-
-class MainTable(ABC):
-    """Abstract main table with the probe/promote contract.
-
-    Args:
-        meter: shared cost meter.
-        track_bytes: allocate a parallel byte counter per bucket (the
-            NetFlow record's dOctets field); incremented by the
-            ``size`` argument of :meth:`probe`.
-    """
-
-    def __init__(self, meter: CostMeter | None = None, track_bytes: bool = False):
-        self.meter = meter if meter is not None else CostMeter()
-        self.track_bytes = track_bytes
-
-    @abstractmethod
-    def probe(self, key: int, size: int = 0) -> tuple[int, int, object]:
-        """Probe the table with all hash functions for ``key``.
-
-        Args:
-            key: packed flow ID.
-            size: packet length in bytes, accumulated when
-                ``track_bytes`` is enabled.
-
-        Returns:
-            ``(ABSORBED, 0, None)`` if the packet found its record or an
-            empty bucket; ``(MISSED, min_count, sentinel)`` otherwise,
-            where ``sentinel`` is an opaque location token for
-            :meth:`promote` and ``min_count`` the smallest colliding
-            count.
-        """
-
-    @abstractmethod
-    def promote(self, sentinel: object, key: int, count: int, size: int = 0) -> None:
-        """Overwrite the sentinel bucket with ``(key, count)``.
-
-        With byte tracking, the promoted record's byte counter restarts
-        at ``size`` (earlier bytes were lost to ancillary churn — a
-        documented lower bound).
-        """
-
-    @abstractmethod
-    def bucket_rows(self, batch) -> list[list[int]]:
-        """Precompute every probe index for a whole key batch.
-
-        Args:
-            batch: a :class:`~repro.flow.batch.KeyBatch`.
-
-        Returns:
-            ``d`` lists of ``len(batch)`` Python-int indices; entry
-            ``[s][i]`` is the bucket the stage-``s`` hash maps key ``i``
-            to — exactly what the scalar :meth:`probe` would compute.
-        """
-
-    @abstractmethod
-    def stage_views(self, rows: list[list[int]]) -> list[tuple]:
-        """Pair precomputed index rows with each probe stage's storage.
-
-        Args:
-            rows: the output of :meth:`bucket_rows` for the same batch.
-
-        Returns:
-            One ``(index_row, keys_list, counts_list)`` tuple per probe
-            stage, where ``keys_list[index_row[i]]`` /
-            ``counts_list[index_row[i]]`` are the cells the stage-``s``
-            probe of key ``i`` touches.  This is the layout-agnostic
-            handle the batched update loop iterates, so engine code
-            never reaches into a concrete table's internals.
-        """
-
-    def byte_records(self) -> dict[int, int]:
-        """Per-flow byte counts (requires ``track_bytes``).
-
-        Raises:
-            RuntimeError: if byte tracking is disabled.
-        """
-        raise RuntimeError("byte tracking is disabled for this table")
-
-    def byte_query(self, key: int) -> int | None:
-        """Measured byte count of the flow's resident record.
-
-        A per-key probe (the byte-side twin of :meth:`query`) so
-        expiry-style exporters can read a few flows' byte counts
-        without materializing :meth:`byte_records` over the whole
-        table.  Returns None when the flow is not resident.
-
-        Raises:
-            RuntimeError: if byte tracking is disabled.
-        """
-        raise RuntimeError("byte tracking is disabled for this table")
-
-    def stage_byte_views(self) -> list[list[int]] | None:
-        """Per-stage byte storage aligned with :meth:`stage_views`.
-
-        Entry ``s`` is the byte-counter list addressed by stage ``s``'s
-        probe indices (the same flat list ``depth`` times for the
-        multi-hash layout).  Returns None when byte tracking is off —
-        the batched update loop uses that to skip byte bookkeeping.
-        """
-        return None
-
-    @abstractmethod
-    def query(self, key: int) -> int:
-        """The flow's recorded count, or 0 if absent."""
-
-    def query_batch(self, batch: KeyBatch) -> np.ndarray:
-        """Recorded counts for a whole key batch (``np.int64``).
-
-        Bit-identical to the scalar :meth:`query` per key; both layouts
-        override this with a :func:`_query_batch_stages` pass over
-        precomputed probe-index rows.
-        """
-        query = self.query
-        return np.fromiter(
-            (query(k) for k in batch.keys), np.int64, count=len(batch)
-        )
-
-    @abstractmethod
-    def records(self) -> dict[int, int]:
-        """All resident records."""
-
-    @abstractmethod
-    def occupancy(self) -> int:
-        """Number of occupied buckets."""
-
-    @abstractmethod
-    def remove(self, key: int) -> bool:
-        """Clear the flow's record if resident (control-plane operation,
-        e.g. after a timeout export; not metered).  Returns whether a
-        record was removed."""
-
-    @abstractmethod
-    def reset(self) -> None:
-        """Clear all buckets."""
-
-    @property
-    @abstractmethod
-    def n_cells(self) -> int:
-        """Total buckets."""
-
-    def utilization(self) -> float:
-        """Fraction of buckets occupied (the quantity modelled in §III-B)."""
-        return self.occupancy() / self.n_cells
-
-    @property
-    def memory_bits(self) -> int:
-        """Buckets of (104-bit key, 32-bit counter [, 32-bit bytes])."""
-        cell = FLOW_KEY_BITS + _COUNTER_BITS
-        if self.track_bytes:
-            cell += _COUNTER_BITS
-        return self.n_cells * cell
-
-
-class MultiHashTable(MainTable):
-    """Single array probed by ``depth`` independent hash functions.
-
-    Args:
-        n_cells: number of buckets.
-        depth: number of hash functions ``d`` (paper default 3).
-        seed: hash family seed.
-        meter: shared cost meter.
-    """
-
-    def __init__(
-        self,
-        n_cells: int,
-        depth: int = DEFAULT_DEPTH,
-        seed: int = 0,
-        meter: CostMeter | None = None,
-        track_bytes: bool = False,
-    ):
-        super().__init__(meter, track_bytes)
-        if n_cells <= 0:
-            raise ValueError(f"n_cells must be positive, got {n_cells}")
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        self._n = n_cells
-        self.depth = depth
-        self._hashes = HashFamily(depth, master_seed=seed)
-        # Seeds prebound for the hot path: `mix128(key, seed) % n` inline
-        # skips the HashFunction.bucket call per probe stage.
-        self._seeds = [h.seed for h in self._hashes]
-        self._keys = [_EMPTY] * n_cells
-        self._counts = [0] * n_cells
-        self._bytes = [0] * n_cells if track_bytes else None
-
-    def probe(self, key: int, size: int = 0) -> tuple[int, int, object]:
-        meter = self.meter
-        n = self._n
-        keys = self._keys
-        counts = self._counts
-        mix = mix128
-        min_count = -1
-        pos = -1
-        for seed in self._seeds:
-            idx = mix(key, seed) % n
-            meter.hashes += 1
-            meter.reads += 1
-            count = counts[idx]
-            if count == 0:
-                keys[idx] = key
-                counts[idx] = 1
-                if self._bytes is not None:
-                    self._bytes[idx] = size
-                meter.writes += 1
-                return ABSORBED, 0, None
-            if keys[idx] == key:
-                counts[idx] = count + 1
-                if self._bytes is not None:
-                    self._bytes[idx] += size
-                meter.writes += 1
-                return ABSORBED, 0, None
-            if min_count < 0 or count < min_count:
-                min_count = count
-                pos = idx
-        return MISSED, min_count, pos
-
-    def bucket_rows(self, batch) -> list[list[int]]:
-        return self._hashes.bucket_matrix(batch, self._n).tolist()
-
-    def stage_views(self, rows: list[list[int]]) -> list[tuple]:
-        # Every probe stage addresses the same flat arrays.
-        return [(row, self._keys, self._counts) for row in rows]
-
-    def stage_byte_views(self) -> list[list[int]] | None:
-        if self._bytes is None:
-            return None
-        return [self._bytes] * self.depth
-
-    def promote(self, sentinel: object, key: int, count: int, size: int = 0) -> None:
-        idx = sentinel
-        self._keys[idx] = key
-        self._counts[idx] = count
-        if self._bytes is not None:
-            self._bytes[idx] = size
-        self.meter.writes += 1
-
-    def byte_records(self) -> dict[int, int]:
-        if self._bytes is None:
-            return super().byte_records()
-        return {
-            k: b
-            for k, c, b in zip(self._keys, self._counts, self._bytes)
-            if c > 0
-        }
-
-    def byte_query(self, key: int) -> int | None:
-        if self._bytes is None:
-            return super().byte_query(key)
-        n = self._n
-        for h in self._hashes:
-            idx = h.bucket(key, n)
-            if self._counts[idx] and self._keys[idx] == key:
-                return self._bytes[idx]
-        return None
-
-    def query(self, key: int) -> int:
-        n = self._n
-        for h in self._hashes:
-            idx = h.bucket(key, n)
-            if self._counts[idx] and self._keys[idx] == key:
-                return self._counts[idx]
-        return 0
-
-    def query_batch(self, batch: KeyBatch) -> np.ndarray:
-        # All probe stages address the same flat arrays, so the stored
-        # keys' low halves and the counts are converted exactly once.
-        rows = self._hashes.bucket_matrix(batch, self._n)
-        table_lo = low_halves(self._keys)
-        counts_arr = np.fromiter(self._counts, np.int64, count=self._n)
-        return _query_batch_stages(
-            batch,
-            ((row, self._keys, self._counts, table_lo, counts_arr) for row in rows),
-        )
-
-    def records(self) -> dict[int, int]:
-        return {k: c for k, c in zip(self._keys, self._counts) if c > 0}
-
-    def occupancy(self) -> int:
-        return sum(1 for c in self._counts if c > 0)
-
-    def remove(self, key: int) -> bool:
-        n = self._n
-        for h in self._hashes:
-            idx = h.bucket(key, n)
-            if self._counts[idx] and self._keys[idx] == key:
-                self._keys[idx] = _EMPTY
-                self._counts[idx] = 0
-                return True
-        return False
-
-    def reset(self) -> None:
-        self._keys = [_EMPTY] * self._n
-        self._counts = [0] * self._n
-        if self._bytes is not None:
-            self._bytes = [0] * self._n
-
-    @property
-    def n_cells(self) -> int:
-        return self._n
 
 
 def pipeline_sizes(n_cells: int, depth: int, alpha: float) -> list[int]:
@@ -411,171 +71,281 @@ def pipeline_sizes(n_cells: int, depth: int, alpha: float) -> list[int]:
     return sizes
 
 
-class PipelinedTables(MainTable):
-    """``depth`` sub-tables with geometric sizes and per-table hashes.
+class MainTable:
+    """The main table, in either paper layout.
 
     Args:
-        n_cells: total buckets across all sub-tables.
-        depth: number of sub-tables ``d`` (paper default 3).
-        alpha: pipeline weight ``α`` (paper default 0.7).
+        n_cells: total buckets.
+        depth: probe stages ``d`` (paper default 3).
+        variant: ``"pipelined"`` or ``"multihash"``.
+        alpha: pipeline weight ``α`` (pipelined variant only; paper
+            default 0.7).
         seed: hash family seed.
         meter: shared cost meter.
+        track_bytes: allocate the parallel byte plane (the NetFlow
+            record's dOctets field), incremented by the ``size``
+            argument of :meth:`probe`.
     """
 
     def __init__(
         self,
         n_cells: int,
         depth: int = DEFAULT_DEPTH,
+        variant: str = "pipelined",
         alpha: float = DEFAULT_ALPHA,
         seed: int = 0,
         meter: CostMeter | None = None,
         track_bytes: bool = False,
     ):
-        super().__init__(meter, track_bytes)
+        if n_cells <= 0:
+            raise ValueError(f"n_cells must be positive, got {n_cells}")
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        self.meter = meter if meter is not None else CostMeter()
+        self.track_bytes = track_bytes
+        self.n_cells = n_cells
         self.depth = depth
-        self.alpha = alpha
-        self.sizes = pipeline_sizes(n_cells, depth, alpha)
-        self._n = n_cells
+        self.variant = variant
+        if variant == "pipelined":
+            self.alpha = alpha
+            self.sizes = pipeline_sizes(n_cells, depth, alpha)
+            offs = [0] * depth
+            for s in range(1, depth):
+                offs[s] = offs[s - 1] + self.sizes[s - 1]
+        elif variant == "multihash":
+            # Every stage probes the same flat array of n cells.
+            self.sizes = [n_cells] * depth
+            offs = [0] * depth
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
         self._hashes = HashFamily(depth, master_seed=seed)
-        # (seed, size) pairs prebound for the hot path, as in
-        # MultiHashTable.probe.
-        self._seeds = [h.seed for h in self._hashes]
-        self._keys = [[_EMPTY] * size for size in self.sizes]
-        self._counts = [[0] * size for size in self.sizes]
-        self._bytes = (
-            [[0] * size for size in self.sizes] if track_bytes else None
-        )
-        self._stages = list(
-            zip(self._seeds, self.sizes, self._keys, self._counts)
-        )
+        seeds = [h.seed for h in self._hashes]
+        # (seed, offset, size) per stage, prebound for the Python paths.
+        self._stages = list(zip(seeds, offs, self.sizes))
+        # Kernel-facing views of the per-stage addressing triples.
+        self.seeds_arr = np.array(seeds, dtype=np.uint64)
+        self.offs_arr = np.array(offs, dtype=np.int64)
+        self.sizes_arr = np.array(self.sizes, dtype=np.int64)
+        self.k_lo = np.zeros(n_cells, dtype=np.uint64)
+        self.k_hi = np.zeros(n_cells, dtype=np.uint64)
+        self.counts = np.zeros(n_cells, dtype=np.int64)
+        self.bytes = np.zeros(n_cells, dtype=np.int64) if track_bytes else None
 
-    def probe(self, key: int, size: int = 0) -> tuple[int, int, object]:
+    def _stage_cells(self, lo: np.ndarray, hi: np.ndarray):
+        """Per stage, the flat probe index (``np.int64``) of every key
+        in a batch of key halves — exactly what :meth:`probe` computes
+        per key."""
+        for seed, off, size in self._stages:
+            yield (mix128_batch(lo, hi, seed) % np.uint64(size)).astype(
+                np.int64
+            ) + off
+
+    def bucket_rows(self, lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
+        """Every flat probe index for a batch of key halves: ``d`` lists
+        of Python ints, entry ``[s][i]`` the cell the stage-``s`` probe
+        of key ``i`` touches."""
+        return [idx.tolist() for idx in self._stage_cells(lo, hi)]
+
+    def _find(self, key: int) -> int:
+        """Flat index of the flow's first resident record, else -1."""
+        lo = key & MASK64
+        hi = key >> 64
+        counts = self.counts
+        for seed, off, size in self._stages:
+            idx = off + mix128(key, seed) % size
+            if (
+                counts[idx]
+                and int(self.k_lo[idx]) == lo
+                and int(self.k_hi[idx]) == hi
+            ):
+                return idx
+        return -1
+
+    # ------------------------------------------------------------------
+    # Probe/promote contract (Algorithm 1)
+    # ------------------------------------------------------------------
+    def probe(self, key: int, size: int = 0) -> tuple[int, int, int]:
+        """Probe the table with all hash functions for ``key``.
+
+        Args:
+            key: packed flow ID.
+            size: packet length in bytes, accumulated when
+                ``track_bytes`` is enabled.
+
+        Returns:
+            ``(ABSORBED, 0, -1)`` if the packet found its record or an
+            empty bucket; ``(MISSED, min_count, sentinel)`` otherwise,
+            where ``sentinel`` is the flat index of the colliding bucket
+            with the smallest count, for :meth:`promote`.
+        """
         meter = self.meter
-        mix = mix128
+        lo = key & MASK64
+        hi = key >> 64
+        counts = memoryview(self.counts)
+        k_lo = memoryview(self.k_lo)
+        k_hi = memoryview(self.k_hi)
         min_count = -1
-        sentinel: tuple[int, int] | None = None
-        for s, (seed, table_size, keys, counts) in enumerate(self._stages):
-            idx = mix(key, seed) % table_size
+        pos = -1
+        for seed, off, table_size in self._stages:
+            idx = off + mix128(key, seed) % table_size
             meter.hashes += 1
             meter.reads += 1
             count = counts[idx]
             if count == 0:
-                keys[idx] = key
+                k_lo[idx] = lo
+                k_hi[idx] = hi
                 counts[idx] = 1
-                if self._bytes is not None:
-                    self._bytes[s][idx] = size
+                if self.bytes is not None:
+                    self.bytes[idx] = size
                 meter.writes += 1
-                return ABSORBED, 0, None
-            if keys[idx] == key:
+                return ABSORBED, 0, -1
+            if k_lo[idx] == lo and k_hi[idx] == hi:
                 counts[idx] = count + 1
-                if self._bytes is not None:
-                    self._bytes[s][idx] += size
+                if self.bytes is not None:
+                    self.bytes[idx] += size
                 meter.writes += 1
-                return ABSORBED, 0, None
+                return ABSORBED, 0, -1
             if min_count < 0 or count < min_count:
                 min_count = count
-                sentinel = (s, idx)
-        return MISSED, min_count, sentinel
+                pos = idx
+        return MISSED, min_count, pos
 
-    def bucket_rows(self, batch) -> list[list[int]]:
-        return self._hashes.bucket_matrix(batch, self.sizes).tolist()
+    def promote(self, sentinel: int, key: int, count: int, size: int = 0) -> None:
+        """Overwrite the sentinel bucket with ``(key, count)``.
 
-    def stage_views(self, rows: list[list[int]]) -> list[tuple]:
-        return list(zip(rows, self._keys, self._counts))
-
-    def stage_byte_views(self) -> list[list[int]] | None:
-        if self._bytes is None:
-            return None
-        return list(self._bytes)
-
-    def promote(self, sentinel: object, key: int, count: int, size: int = 0) -> None:
-        s, idx = sentinel
-        self._keys[s][idx] = key
-        self._counts[s][idx] = count
-        if self._bytes is not None:
-            self._bytes[s][idx] = size
+        With byte tracking, the promoted record's byte counter restarts
+        at ``size`` (earlier bytes were lost to ancillary churn — a
+        documented lower bound).
+        """
+        self.k_lo[sentinel] = key & MASK64
+        self.k_hi[sentinel] = key >> 64
+        self.counts[sentinel] = count
+        if self.bytes is not None:
+            self.bytes[sentinel] = size
         self.meter.writes += 1
 
-    def byte_records(self) -> dict[int, int]:
-        if self._bytes is None:
-            return super().byte_records()
-        result: dict[int, int] = {}
-        for keys, counts, byte_counts in zip(self._keys, self._counts, self._bytes):
-            for k, c, b in zip(keys, counts, byte_counts):
-                if c > 0:
-                    result[k] = b
-        return result
-
-    def byte_query(self, key: int) -> int | None:
-        if self._bytes is None:
-            return super().byte_query(key)
-        for s, (h, size) in enumerate(zip(self._hashes, self.sizes)):
-            idx = h.bucket(key, size)
-            if self._counts[s][idx] and self._keys[s][idx] == key:
-                return self._bytes[s][idx]
-        return None
-
+    # ------------------------------------------------------------------
+    # Report / control plane
+    # ------------------------------------------------------------------
     def query(self, key: int) -> int:
-        for s, (h, size) in enumerate(zip(self._hashes, self.sizes)):
-            idx = h.bucket(key, size)
-            if self._counts[s][idx] and self._keys[s][idx] == key:
-                return self._counts[s][idx]
-        return 0
+        """The flow's recorded count, or 0 if absent."""
+        idx = self._find(key)
+        return int(self.counts[idx]) if idx >= 0 else 0
 
     def query_batch(self, batch: KeyBatch) -> np.ndarray:
-        rows = self._hashes.bucket_matrix(batch, self.sizes)
-        return _query_batch_stages(
-            batch,
-            (
-                (
-                    row,
-                    keys,
-                    counts,
-                    low_halves(keys),
-                    np.fromiter(counts, np.int64, count=len(counts)),
-                )
-                for row, keys, counts in zip(rows, self._keys, self._counts)
-            ),
-        )
+        """Recorded counts for a whole key batch (``np.int64``).
+
+        Same first-stage-hit precedence as the scalar :meth:`query`: a
+        later stage only answers keys every earlier stage missed, so
+        the answer stays bit-identical even if control-plane evictions
+        ever leave a flow resident in two probe buckets.
+        """
+        n = len(batch)
+        out = np.zeros(n, dtype=np.int64)
+        if not n:
+            return out
+        lo, hi = batch.halves()
+        unresolved = np.ones(n, dtype=bool)
+        for idx in self._stage_cells(lo, hi):
+            hit = (
+                unresolved
+                & (self.counts[idx] > 0)
+                & (self.k_lo[idx] == lo)
+                & (self.k_hi[idx] == hi)
+            )
+            if hit.any():
+                out[hit] = self.counts[idx[hit]]
+                unresolved &= ~hit
+                if not unresolved.any():
+                    break
+        return out
+
+    def _resident(self, values: np.ndarray) -> dict[int, int]:
+        """``{key: values[idx]}`` over occupied cells in ascending flat
+        index (stage-major) order; a key resident twice — possible only
+        after control-plane evictions — takes its later cell's value."""
+        idx = np.flatnonzero(self.counts)
+        # Each key as 16 big-endian bytes (hi, lo): one int.from_bytes
+        # per key instead of a shift and an or.
+        packed = np.empty((idx.size, 2), dtype=">u8")
+        packed[:, 0] = self.k_hi[idx]
+        packed[:, 1] = self.k_lo[idx]
+        cells = packed.view("V16").ravel().tolist()
+        keys = map(int.from_bytes, cells, repeat("big"))
+        return dict(zip(keys, values[idx].tolist()))
 
     def records(self) -> dict[int, int]:
-        result: dict[int, int] = {}
-        for keys, counts in zip(self._keys, self._counts):
-            for k, c in zip(keys, counts):
-                if c > 0:
-                    result[k] = c
-        return result
+        """All resident records."""
+        return self._resident(self.counts)
+
+    def byte_records(self) -> dict[int, int]:
+        """Per-flow byte counts (requires ``track_bytes``).
+
+        Raises:
+            RuntimeError: if byte tracking is disabled.
+        """
+        if self.bytes is None:
+            raise RuntimeError("byte tracking is disabled for this table")
+        return self._resident(self.bytes)
+
+    def byte_query(self, key: int) -> int | None:
+        """Measured byte count of the flow's resident record.
+
+        A per-key probe (the byte-side twin of :meth:`query`) so
+        expiry-style exporters can read a few flows' byte counts
+        without materializing :meth:`byte_records` over the whole
+        table.  Returns None when the flow is not resident.
+
+        Raises:
+            RuntimeError: if byte tracking is disabled.
+        """
+        if self.bytes is None:
+            raise RuntimeError("byte tracking is disabled for this table")
+        idx = self._find(key)
+        return int(self.bytes[idx]) if idx >= 0 else None
 
     def occupancy(self) -> int:
-        return sum(
-            sum(1 for c in counts if c > 0) for counts in self._counts
-        )
+        """Number of occupied buckets."""
+        return int(np.count_nonzero(self.counts))
+
+    def utilization(self) -> float:
+        """Fraction of buckets occupied (the quantity modelled in §III-B)."""
+        return self.occupancy() / self.n_cells
 
     def per_table_utilization(self) -> list[float]:
-        """Occupancy fraction of each sub-table (compare with Eq. 4)."""
+        """Occupancy fraction of each probe stage's slice (compare the
+        pipelined layout with Eq. 4)."""
         return [
-            sum(1 for c in counts if c > 0) / size
-            for counts, size in zip(self._counts, self.sizes)
+            int(np.count_nonzero(self.counts[off : off + size])) / size
+            for _, off, size in self._stages
         ]
 
     def remove(self, key: int) -> bool:
-        for s, (h, size) in enumerate(zip(self._hashes, self.sizes)):
-            idx = h.bucket(key, size)
-            if self._counts[s][idx] and self._keys[s][idx] == key:
-                self._keys[s][idx] = _EMPTY
-                self._counts[s][idx] = 0
-                return True
-        return False
+        """Clear the flow's record if resident (control-plane operation,
+        e.g. after a timeout export; not metered).  Returns whether a
+        record was removed."""
+        idx = self._find(key)
+        if idx < 0:
+            return False
+        # Bytes are left stale: invisible while count == 0 and reseeded
+        # on insert.
+        self.k_lo[idx] = 0
+        self.k_hi[idx] = 0
+        self.counts[idx] = 0
+        return True
 
     def reset(self) -> None:
-        self._keys = [[_EMPTY] * size for size in self.sizes]
-        self._counts = [[0] * size for size in self.sizes]
-        if self._bytes is not None:
-            self._bytes = [[0] * size for size in self.sizes]
-        self._stages = list(
-            zip(self._seeds, self.sizes, self._keys, self._counts)
-        )
+        """Clear all buckets (in place, so shared planes stay shared)."""
+        self.k_lo.fill(0)
+        self.k_hi.fill(0)
+        self.counts.fill(0)
+        if self.bytes is not None:
+            self.bytes.fill(0)
 
     @property
-    def n_cells(self) -> int:
-        return self._n
+    def memory_bits(self) -> int:
+        """Buckets of (104-bit key, 32-bit counter [, 32-bit bytes])."""
+        cell = FLOW_KEY_BITS + _COUNTER_BITS
+        if self.track_bytes:
+            cell += _COUNTER_BITS
+        return self.n_cells * cell

@@ -2,7 +2,8 @@
 
 :class:`NativeKernels` wraps one loaded ``.so`` with typed prototypes
 and numpy-array entry points.  The array-layout contract (shared with
-``csrc/kernels.c`` and the SoA tables in :mod:`repro.native.soa`):
+``csrc/kernels.c`` and the table planes of :mod:`repro.core.maintable`
+and :mod:`repro.core.ancillary`):
 
 * key batches arrive as contiguous ``np.uint64`` half arrays (exactly
   ``KeyBatch.lo`` / ``KeyBatch.hi``), packet sizes as ``np.int64``;

@@ -97,13 +97,9 @@ class ShardedCollector(FlowCollector):
         self.jobs = self._resolve_jobs(resolve_shard_jobs(jobs))
         if self.jobs > 1:
             self._check_shareable()
-            # reseed() first so shard i's derived seeds match the
-            # serial build; storage="soa" only swaps the table layout
-            # (bit-identical), making the planes shareable on any
-            # kernel tier.
+            # reseed() so shard i's derived seeds match the serial build.
             self.shards = [
-                build(self._shard_spec.reseed(i).with_params(storage="soa"))
-                for i in range(n_shards)
+                build(self._shard_spec.reseed(i)) for i in range(n_shards)
             ]
             from repro.shm import ShardIngestEngine
 

@@ -20,11 +20,11 @@ One :class:`ShardIngestEngine` serves one
   and promotion counters are bit-identical to serial ingest.
 
 Workers are a ``ProcessPoolExecutor`` with an initializer that
-rebuilds every shard from its spec (``storage="soa"``) and adopts the
-shared plane views — the layout is a function of the specs alone, so
-no offsets cross the pipe.  Tasks are not pinned to processes, which
-is why *every* worker holds all shards; disjoint span groups per task
-keep concurrent mutation race-free.  A dead worker fails the whole
+rebuilds every shard from its spec and adopts the shared plane views —
+the layout is a function of the specs alone, so no offsets cross the
+pipe.  Tasks are not pinned to processes, which is why *every* worker
+holds all shards; disjoint span groups per task keep concurrent
+mutation race-free.  A dead worker fails the whole
 batch fast (``BrokenProcessPool`` → ``RuntimeError``) rather than
 silently dropping packets.
 """
@@ -165,9 +165,9 @@ class ShardIngestEngine:
     """Shared planes + worker pool behind one sharded collector.
 
     Args:
-        shards: the parent's shard collectors (SoA-backed); their
-            planes are moved into a shared segment in place.
-        spec_dicts: each shard's full spec dict (seed + ``storage``
+        shards: the parent's shard collectors; their table planes are
+            moved into a shared segment in place.
+        spec_dicts: each shard's full spec dict (derived seed
             resolved) — what workers rebuild their twins from.
         jobs: worker processes (>= 2).
     """

@@ -1,7 +1,8 @@
-"""Shared-memory plane layout for SoA-backed collectors.
+"""Shared-memory plane layout for HashFlow collectors.
 
-A collector built on the SoA tables (:mod:`repro.native.soa`) keeps its
-entire dataplane state in a handful of flat numpy arrays — *planes*.
+A HashFlow collector keeps its entire dataplane state in a handful of
+flat numpy arrays — *planes* (:mod:`repro.core.maintable`,
+:mod:`repro.core.ancillary`).
 This module maps that state onto a :class:`~repro.shm.segments.Segment`
 so several processes can mutate one collector's tables in place:
 
@@ -15,9 +16,9 @@ so several processes can mutate one collector's tables in place:
   so a worker that rebuilds the same spec computes the same layout and
   attaches to the same offsets — no layout metadata crosses the pipe.
 
-Only spec kinds in :data:`SHARED_PLANE_KINDS` participate: their SoA
-state is exactly these planes, nothing else (hash seeds and sizes are
-rebuilt deterministically from the spec).
+Only spec kinds in :data:`SHARED_PLANE_KINDS` participate: their
+dataplane state is exactly these planes, nothing else (hash seeds and
+sizes are rebuilt deterministically from the spec).
 """
 
 from __future__ import annotations
@@ -30,25 +31,26 @@ from repro.shm.segments import Segment, carve, layout_bytes
 SHARED_PLANE_KINDS = frozenset({"hashflow"})
 
 
-def _soa_tables(collector):
-    """The collector's (main, ancillary) SoA tables, or a clear error."""
-    from repro.native.soa import NativeAncillaryTable, NativeMainTable
+def _tables(collector):
+    """The collector's (main, ancillary) tables, or a clear error."""
+    from repro.core.ancillary import AncillaryTable
+    from repro.core.maintable import MainTable
 
     main = getattr(collector, "main", None)
     ancillary = getattr(collector, "ancillary", None)
-    if not isinstance(main, NativeMainTable) or not isinstance(
-        ancillary, NativeAncillaryTable
+    if not isinstance(main, MainTable) or not isinstance(
+        ancillary, AncillaryTable
     ):
         raise TypeError(
-            f"{type(collector).__name__} does not hold SoA tables; build it "
-            "with storage='soa' (or the native kernel tier) to share planes"
+            f"{type(collector).__name__} does not hold HashFlow table "
+            "planes to share"
         )
     return main, ancillary
 
 
 def plane_arrays(collector) -> list[np.ndarray]:
     """The collector's state planes, in canonical order."""
-    main, ancillary = _soa_tables(collector)
+    main, ancillary = _tables(collector)
     planes = [main.k_lo, main.k_hi, main.counts]
     if main.bytes is not None:
         planes.append(main.bytes)
@@ -65,7 +67,7 @@ def adopt_planes(collector, views: list[np.ndarray], copy: bool = True) -> None:
     """Swap carved segment views in for the collector's private planes.
 
     Args:
-        collector: an SoA-backed collector (see :func:`plane_arrays`).
+        collector: a HashFlow collector (see :func:`plane_arrays`).
         views: arrays from :func:`~repro.shm.segments.carve`, in the
             same canonical order.
         copy: copy current plane contents into the views first (the
@@ -73,7 +75,7 @@ def adopt_planes(collector, views: list[np.ndarray], copy: bool = True) -> None:
             worker attaching to live planes passes False: the shared
             state is already authoritative.
     """
-    main, ancillary = _soa_tables(collector)
+    main, ancillary = _tables(collector)
     current = plane_arrays(collector)
     if len(views) != len(current):
         raise ValueError(

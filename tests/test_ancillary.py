@@ -142,10 +142,33 @@ class TestLifecycle:
     def test_memory_bits(self):
         assert make(n_cells=100).memory_bits == 100 * 16
 
-    @pytest.mark.parametrize("kwargs", [{"n_cells": 0}, {"n_cells": 8, "counter_bits": 0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_cells": 0},
+            {"n_cells": 8, "counter_bits": 0},
+            {"n_cells": 8, "counter_bits": 63},
+        ],
+    )
     def test_validation(self, kwargs):
         fam = HashFamily(2, master_seed=1)
         with pytest.raises(ValueError):
             AncillaryTable(
                 index_hash=fam[0], digest=DigestFunction(fam[1]), **kwargs
             )
+
+    def test_widest_counter_fits_the_plane(self):
+        table = make(counter_bits=62)
+        assert table.max_count == (1 << 62) - 1
+        assert table.counts.dtype.name == "int64"
+
+
+class TestPlanes:
+    def test_digest_and_count_planes(self):
+        table = make(n_cells=1)
+        table.offer(42, min_count=100)
+        table.offer(42, min_count=100)
+        assert int(table.counts[0]) == 2
+        assert int(table.digests[0]) == table.digest(42)
+        table.reset()
+        assert table.counts.tolist() == [0] and table.digests.tolist() == [0]

@@ -1,17 +1,20 @@
-"""Tests for repro.core.maintable."""
+"""Tests for repro.core.maintable: both paper layouts over one set of
+flat register planes."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.model import multihash_utilization, pipelined_utilization
-from repro.core.maintable import (
-    ABSORBED,
-    MISSED,
-    MultiHashTable,
-    PipelinedTables,
-    pipeline_sizes,
-)
+from repro.core.maintable import ABSORBED, MISSED, MainTable, pipeline_sizes
+
+
+def multihash(n, **kwargs):
+    return MainTable(n, variant="multihash", **kwargs)
+
+
+def pipelined(n, **kwargs):
+    return MainTable(n, variant="pipelined", **kwargs)
 
 
 class TestPipelineSizes:
@@ -36,8 +39,8 @@ class TestPipelineSizes:
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda n: MultiHashTable(n, depth=3, seed=1),
-        lambda n: PipelinedTables(n, depth=3, alpha=0.7, seed=1),
+        lambda n: multihash(n, depth=3, seed=1),
+        lambda n: pipelined(n, depth=3, alpha=0.7, seed=1),
     ],
     ids=["multihash", "pipelined"],
 )
@@ -117,7 +120,7 @@ class TestMainTableContract:
 class TestUtilizationMatchesModel:
     def test_multihash_matches_eq1(self):
         n, d = 5000, 3
-        table = MultiHashTable(n, depth=d, seed=3)
+        table = multihash(n, depth=d, seed=3)
         m = 2 * n
         for key in range(m):
             table.probe(1_000_000 + key)
@@ -127,7 +130,7 @@ class TestUtilizationMatchesModel:
 
     def test_pipelined_matches_eq5(self):
         n, d, alpha = 5000, 3, 0.7
-        table = PipelinedTables(n, depth=d, alpha=alpha, seed=3)
+        table = pipelined(n, depth=d, alpha=alpha, seed=3)
         m = n
         for key in range(m):
             table.probe(1_000_000 + key)
@@ -138,8 +141,8 @@ class TestUtilizationMatchesModel:
     def test_pipelined_beats_multihash_at_moderate_load(self):
         """Fig. 2d: pipelined tables improve utilization at d=3."""
         n = 4000
-        mh = MultiHashTable(n, depth=3, seed=5)
-        pt = PipelinedTables(n, depth=3, alpha=0.7, seed=5)
+        mh = multihash(n, depth=3, seed=5)
+        pt = pipelined(n, depth=3, alpha=0.7, seed=5)
         for key in range(n):
             mh.probe(key)
             pt.probe(key)
@@ -148,7 +151,7 @@ class TestUtilizationMatchesModel:
 
 class TestPipelinedSpecifics:
     def test_per_table_utilization_shape(self):
-        pt = PipelinedTables(1000, depth=3, alpha=0.7, seed=1)
+        pt = pipelined(1000, depth=3, alpha=0.7, seed=1)
         for key in range(800):
             pt.probe(key)
         utils = pt.per_table_utilization()
@@ -157,17 +160,70 @@ class TestPipelinedSpecifics:
         assert utils[0] >= utils[-1]
 
     def test_sizes_attribute(self):
-        pt = PipelinedTables(1000, depth=3, alpha=0.7)
+        pt = pipelined(1000, depth=3, alpha=0.7)
         assert pt.sizes == pipeline_sizes(1000, 3, 0.7)
 
     def test_depth_one_degenerates_to_single_table(self):
-        pt = PipelinedTables(100, depth=1, alpha=0.7)
+        pt = pipelined(100, depth=1, alpha=0.7)
         assert pt.sizes == [100]
 
 
 class TestValidation:
     def test_multihash_invalid(self):
         with pytest.raises(ValueError):
-            MultiHashTable(0)
+            multihash(0)
         with pytest.raises(ValueError):
-            MultiHashTable(10, depth=0)
+            multihash(10, depth=0)
+
+    def test_unknown_variant(self):
+        with pytest.raises(ValueError, match="variant"):
+            MainTable(10, variant="cuckoo")
+
+
+class TestPlanes:
+    """White box: the records live in flat lo/hi/count planes."""
+
+    def test_pipelined_stages_partition_the_planes(self):
+        table = pipelined(1000, depth=3, alpha=0.7)
+        assert table.k_lo.size == table.counts.size == 1000
+        assert table.offs_arr.tolist() == [
+            0,
+            table.sizes[0],
+            table.sizes[0] + table.sizes[1],
+        ]
+
+    def test_multihash_stages_share_the_planes(self):
+        table = multihash(100, depth=3)
+        assert table.offs_arr.tolist() == [0, 0, 0]
+        assert table.sizes_arr.tolist() == [100, 100, 100]
+
+    def test_key_halves_stored(self):
+        table = multihash(64, depth=3, seed=2)
+        key = (0xABC << 64) | 0xDEF
+        table.probe(key)
+        (idx,) = table.counts.nonzero()[0].tolist()
+        assert int(table.k_lo[idx]) == 0xDEF
+        assert int(table.k_hi[idx]) == 0xABC
+        assert table.records() == {key: 1}
+
+    def test_sentinel_is_min_count_flat_index(self):
+        table = pipelined(6, depth=3, alpha=0.5, seed=4)
+        for key in range(60):
+            for _ in range(key % 5 + 1):
+                table.probe(key)
+        assert table.occupancy() == 6
+        status, min_count, sentinel = table.probe(10_000)
+        assert status == MISSED
+        assert int(table.counts[sentinel]) == min_count
+        table.promote(sentinel, 10_000, 77)
+        assert table.query(10_000) == 77
+
+    def test_byte_plane(self):
+        table = multihash(64, seed=1, track_bytes=True)
+        table.probe(5, 100)
+        table.probe(5, 40)
+        assert table.byte_records() == {5: 140}
+        assert table.byte_query(5) == 140
+        assert table.byte_query(6) is None
+        with pytest.raises(RuntimeError, match="byte tracking"):
+            multihash(64).byte_records()

@@ -441,6 +441,13 @@ class TestKernelSelection:
         with pytest.raises(ValueError, match="counter_bits"):
             HashFlow(main_cells=32, ancillary_counter_bits=63, kernel="native")
 
+    def test_wide_ancillary_counters_rejected_numpy(self):
+        """Both tiers share the int64 count plane, so the width limit
+        is the same on the numpy tier."""
+        with pytest.raises(ValueError, match="counter_bits"):
+            HashFlow(main_cells=32, ancillary_counter_bits=63, kernel="numpy")
+        HashFlow(main_cells=32, ancillary_counter_bits=62, kernel="numpy")
+
     @needs_native
     def test_wide_countmin_counters_rejected(self):
         with pytest.raises(ValueError, match="counter_bits"):

@@ -236,18 +236,6 @@ class TestConfiguration:
                 jobs=2,
             )
 
-    def test_storage_lists_native_conflict(self):
-        if not native_available():
-            pytest.skip("native tier unavailable")
-        with pytest.raises(ValueError, match="SoA"):
-            HashFlow(main_cells=256, kernel="native", storage="lists")
-
-    def test_ingest_planes_requires_soa(self):
-        collector = HashFlow(main_cells=256, kernel="numpy")
-        lo = np.zeros(1, dtype=np.uint64)
-        with pytest.raises(RuntimeError, match="SoA"):
-            collector.ingest_planes(lo, lo.copy())
-
 
 class TestPipelineDispatch:
     def test_netwide_pipeline_serial_equals_parallel(self):
